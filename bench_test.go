@@ -210,6 +210,7 @@ func BenchmarkAblationPeriods(b *testing.B) { benchAblation(b, "uniform-periods"
 func BenchmarkEngineFrameThroughput(b *testing.B) {
 	spec := platform.DefaultSpec()
 	model := hevc.DefaultModel()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng, err := transcode.NewEngine(spec, model, 1)
 		if err != nil {
@@ -252,6 +253,7 @@ func BenchmarkEngineManySessions(b *testing.B) {
 			model := hevc.DefaultModel()
 			const framesPer = 200
 			set := transcode.Settings{QP: 35, Threads: 2, FreqGHz: 2.3}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				eng, err := transcode.NewEngine(spec, model, 1)
 				if err != nil {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -29,6 +30,15 @@ type FreqVolt struct {
 }
 
 // Spec describes the hardware and its calibrated power constants.
+//
+// A Spec is a 144-byte value, too big to copy once per simulated frame.
+// The methods per-event code needs take pointer receivers, so calling
+// them on a variable, a struct field or a *Spec reads the description in
+// place. PhysicalCores, LogicalCPUs, Frequencies, Nearest and Validate
+// keep value receivers so they stay callable on a returned value
+// (DefaultSpec().LogicalCPUs()); each such call copies the struct, so
+// per-event code calls Server.LogicalCPUs and Server.Nearest instead,
+// which read the server's live spec in place.
 type Spec struct {
 	// Sockets, CoresPerSocket and ThreadsPerCore define the topology
 	// (2 x 8 x 2 for the paper's machine).
@@ -118,7 +128,7 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-func (s Spec) freqOnLadder(f float64) bool {
+func (s *Spec) freqOnLadder(f float64) bool {
 	for _, fv := range s.Ladder {
 		if fv.GHz == f {
 			return true
@@ -128,13 +138,17 @@ func (s Spec) freqOnLadder(f float64) bool {
 }
 
 // PhysicalCores returns the number of physical cores.
-func (s Spec) PhysicalCores() int { return s.Sockets * s.CoresPerSocket }
+func (s Spec) PhysicalCores() int { return s.physicalCores() }
 
 // LogicalCPUs returns the number of hardware threads.
-func (s Spec) LogicalCPUs() int { return s.PhysicalCores() * s.ThreadsPerCore }
+func (s Spec) LogicalCPUs() int { return s.logicalCPUs() }
+
+func (s *Spec) physicalCores() int { return s.Sockets * s.CoresPerSocket }
+
+func (s *Spec) logicalCPUs() int { return s.physicalCores() * s.ThreadsPerCore }
 
 // MaxGHz returns the top rung of the ladder.
-func (s Spec) MaxGHz() float64 { return s.Ladder[len(s.Ladder)-1].GHz }
+func (s *Spec) MaxGHz() float64 { return s.Ladder[len(s.Ladder)-1].GHz }
 
 // Frequencies returns all ladder frequencies in ascending order.
 func (s Spec) Frequencies() []float64 {
@@ -147,7 +161,7 @@ func (s Spec) Frequencies() []float64 {
 
 // RealTimeFrequencies returns the rungs usable for real-time transcoding
 // (>= MinRealTimeGHz); this is the DVFS agent's action set.
-func (s Spec) RealTimeFrequencies() []float64 {
+func (s *Spec) RealTimeFrequencies() []float64 {
 	var out []float64
 	for _, fv := range s.Ladder {
 		if fv.GHz >= s.MinRealTimeGHz {
@@ -158,7 +172,7 @@ func (s Spec) RealTimeFrequencies() []float64 {
 }
 
 // voltage returns the ladder voltage for an exact rung frequency.
-func (s Spec) voltage(f float64) (float64, error) {
+func (s *Spec) voltage(f float64) (float64, error) {
 	for _, fv := range s.Ladder {
 		if fv.GHz == f {
 			return fv.Volts, nil
@@ -169,7 +183,7 @@ func (s Spec) voltage(f float64) (float64, error) {
 
 // VFNorm returns the dynamic-power scale V^2*f of a rung, normalised to the
 // top of the ladder (VFNorm(MaxGHz) == 1).
-func (s Spec) VFNorm(f float64) (float64, error) {
+func (s *Spec) VFNorm(f float64) (float64, error) {
 	v, err := s.voltage(f)
 	if err != nil {
 		return 0, err
@@ -180,14 +194,13 @@ func (s Spec) VFNorm(f float64) (float64, error) {
 
 // StepUp returns the next rung above f (or f if already at the top),
 // restricted to real-time rungs when rt is true.
-func (s Spec) StepUp(f float64, rt bool) float64 {
-	freqs := s.Frequencies()
-	if rt {
-		freqs = s.RealTimeFrequencies()
-	}
-	for _, g := range freqs {
-		if g > f {
-			return g
+func (s *Spec) StepUp(f float64, rt bool) float64 {
+	for _, fv := range s.Ladder {
+		if rt && fv.GHz < s.MinRealTimeGHz {
+			continue
+		}
+		if fv.GHz > f {
+			return fv.GHz
 		}
 	}
 	return f
@@ -195,34 +208,38 @@ func (s Spec) StepUp(f float64, rt bool) float64 {
 
 // StepDown returns the next rung below f (or f if already at the bottom),
 // restricted to real-time rungs when rt is true.
-func (s Spec) StepDown(f float64, rt bool) float64 {
-	freqs := s.Frequencies()
-	if rt {
-		freqs = s.RealTimeFrequencies()
-	}
+func (s *Spec) StepDown(f float64, rt bool) float64 {
 	best := f
-	for _, g := range freqs {
-		if g < f && (best == f || g > best) {
+	for _, fv := range s.Ladder {
+		if rt && fv.GHz < s.MinRealTimeGHz {
+			continue
+		}
+		if g := fv.GHz; g < f && (best == f || g > best) {
 			best = g
 		}
 	}
 	return best
 }
 
-// Nearest returns the ladder rung closest to f.
-func (s Spec) Nearest(f float64) float64 {
-	freqs := s.Frequencies()
-	i := sort.SearchFloat64s(freqs, f)
+// Nearest returns the ladder rung closest to f; an exact midpoint between
+// two rungs goes to the lower one.
+func (s Spec) Nearest(f float64) float64 { return s.nearest(f) }
+
+// nearest binary-searches the ladder in place (the predicate of
+// sort.SearchFloat64s over the rung frequencies).
+func (s *Spec) nearest(f float64) float64 {
+	l := s.Ladder
+	i := sort.Search(len(l), func(i int) bool { return l[i].GHz >= f })
 	if i == 0 {
-		return freqs[0]
+		return l[0].GHz
 	}
-	if i == len(freqs) {
-		return freqs[len(freqs)-1]
+	if i == len(l) {
+		return l[len(l)-1].GHz
 	}
-	if f-freqs[i-1] <= freqs[i]-f {
-		return freqs[i-1]
+	if lo, hi := l[i-1].GHz, l[i].GHz; f-lo <= hi-f {
+		return lo
 	}
-	return freqs[i]
+	return l[i].GHz
 }
 
 // SessionLoad is one transcoding session's demand on the platform.
@@ -272,16 +289,47 @@ type Server struct {
 }
 
 // NewServer builds a server from a validated spec. A nil rng disables
-// power-meter jitter.
+// power-meter jitter. The server keeps its own copy of the ladder, so
+// later edits to spec.Ladder do not reach it.
 func NewServer(spec Spec, rng *rand.Rand) (*Server, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	spec.Ladder = slices.Clone(spec.Ladder)
 	return &Server{spec: spec, rng: rng}, nil
 }
 
-// Spec returns the server's hardware description.
-func (srv *Server) Spec() Spec { return srv.spec }
+// Spec returns a copy of the server's hardware description, ladder
+// included: changing the copy does not change the server (SetSpec does,
+// after validation). The copy costs a ladder allocation and 144 bytes,
+// so per-event code reads the live spec in place through LogicalCPUs,
+// Nearest, IdlePowerW and LoadDynPowerW instead.
+func (srv *Server) Spec() Spec {
+	s := srv.spec
+	s.Ladder = slices.Clone(s.Ladder)
+	return s
+}
+
+// LogicalCPUs returns the number of hardware threads.
+func (srv *Server) LogicalCPUs() int { return srv.spec.logicalCPUs() }
+
+// Nearest returns the ladder rung closest to f (see Spec.Nearest).
+func (srv *Server) Nearest(f float64) float64 { return srv.spec.nearest(f) }
+
+// IdlePowerW returns package power with all cores idle.
+func (srv *Server) IdlePowerW() float64 { return srv.spec.IdlePowerW }
+
+// LoadDynPowerW returns the dynamic power a load draws when served at
+// full speed (contention scale 1, no throttling): DynPowerPerCoreW times
+// the V^2*f norm of its rung times its speedup. It fails when the load's
+// frequency is not a ladder rung.
+func (srv *Server) LoadDynPowerW(l SessionLoad) (float64, error) {
+	vf, err := srv.spec.VFNorm(l.FreqGHz)
+	if err != nil {
+		return 0, err
+	}
+	return srv.spec.DynPowerPerCoreW * vf * l.Speedup, nil
+}
 
 // SetSpec swaps the server's hardware description live, after validating
 // the replacement. It models operational events that change a machine's
@@ -294,6 +342,7 @@ func (srv *Server) SetSpec(spec Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
+	spec.Ladder = slices.Clone(spec.Ladder)
 	srv.spec = spec
 	return nil
 }
@@ -305,8 +354,8 @@ func (srv *Server) SetSpec(spec Spec) error {
 // memory-bandwidth contention), and threads beyond the logical CPU count
 // add nothing.
 func (srv *Server) capacityCores(total int) float64 {
-	cores := srv.spec.PhysicalCores()
-	logical := srv.spec.LogicalCPUs()
+	cores := srv.spec.physicalCores()
+	logical := srv.spec.logicalCPUs()
 	if total <= 0 {
 		return 0
 	}

@@ -547,7 +547,7 @@ func (e *Engine) segRates() (powerIdeal, speed float64) {
 	if e.thermal != nil && e.thermal.Throttled() {
 		f = e.thermal.ThrottleFactor()
 	}
-	return e.server.Spec().IdlePowerW + e.acct.DynPowerW()*f, e.acct.Scale() * f
+	return e.server.IdlePowerW() + e.acct.DynPowerW()*f, e.acct.Scale() * f
 }
 
 // completionTime translates the completion heap's head from virtual
@@ -653,12 +653,12 @@ func (e *Engine) beginFrame(s *session) error {
 // is dynCoef * scale * throttle and dynamic energy integrates as
 // dynCoef * (virtual time elapsed).
 func (e *Engine) dynCoef(l platform.SessionLoad) float64 {
-	vf, err := e.server.Spec().VFNorm(l.FreqGHz)
+	w, err := e.server.LoadDynPowerW(l)
 	if err != nil {
 		// sanitize guarantees a ladder rung.
 		panic(err)
 	}
-	return e.server.Spec().DynPowerPerCoreW * vf * l.Speedup
+	return w
 }
 
 // sanitize clamps controller output to what the hardware and encoder
@@ -673,10 +673,10 @@ func (e *Engine) sanitize(s *session, p Settings) Settings {
 	if p.Threads < 1 {
 		p.Threads = 1
 	}
-	if max := e.server.Spec().LogicalCPUs(); p.Threads > max {
+	if max := e.server.LogicalCPUs(); p.Threads > max {
 		p.Threads = max
 	}
-	p.FreqGHz = e.server.Spec().Nearest(p.FreqGHz)
+	p.FreqGHz = e.server.Nearest(p.FreqGHz)
 	return p
 }
 
